@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint build test race zeroalloc obs-overhead bench bench-fft bench-e2e bench-lane bench-turbo bench-compare fuzz-smoke serve-smoke kpi-smoke fleet-smoke print-govulncheck-version
+.PHONY: check vet lint build test race zeroalloc obs-overhead bench bench-fft bench-e2e bench-turbo bench-compare fuzz-smoke serve-smoke kpi-smoke fleet-smoke print-govulncheck-version
 
 check: lint build race zeroalloc obs-overhead fft-sweep kpi-smoke
 	$(GO) test ./...
@@ -46,10 +46,11 @@ test:
 # The scheduler, receiver, telemetry, front-haul and turbo suites
 # exercise per-worker arena isolation, work stealing, concurrent ring
 # snapshots, the serving layer's connection/ack plumbing and the turbo
-# window fan-out's shared-state handoff; -race proves no scratch buffer
+# window fan-out's shared-state handoff, and the fleet coordinator's
+# supervisor, migration and checkpoint paths; -race proves no scratch buffer
 # crosses workers and the shared counters are race-free.
 race:
-	$(GO) test -race ./internal/sched/... ./internal/uplink/... ./internal/obs/... ./internal/fronthaul/... ./internal/phy/turbo/...
+	$(GO) test -race ./internal/sched/... ./internal/uplink/... ./internal/obs/... ./internal/fronthaul/... ./internal/phy/turbo/... ./internal/fleet/...
 
 # Guards the ISSUE 1 invariant: the post-warmup receiver hot path must
 # not allocate (see internal/uplink/alloc_bench_test.go) — including with
@@ -80,17 +81,12 @@ bench-fft:
 	$(GO) test -bench 'BenchmarkForward' -benchmem -run '^$$' ./internal/phy/fft/
 
 # End-to-end subframe baseline: re-records BENCH_e2e_baseline.json
-# (SubframeE2E ns/op, bytes/op, allocs/op). Compare a fresh run against
+# (SubframeE2E, its full-turbo variant and the ChanEst/Data stage kernels:
+# ns/op, bytes/op, allocs/op). Compare a fresh run against
 # the committed figures before and after receiver changes.
 bench-e2e:
 	LTEPHY_BENCH_E2E_OUT=$(CURDIR)/BENCH_e2e_baseline.json \
 		$(GO) test -run TestWriteE2EBenchBaseline -count=1 -v ./internal/uplink/
-
-# Lane-layout kernel baseline: re-records BENCH_lane_baseline.json (the
-# complex128 and float32 stage kernels plus the float32 subframe e2e).
-bench-lane:
-	LTEPHY_BENCH_LANE_OUT=$(CURDIR)/BENCH_lane_baseline.json \
-		$(GO) test -run TestWriteLaneBenchBaseline -count=1 -v ./internal/uplink/
 
 # Line-rate turbo baseline: re-records BENCH_turbo_baseline.json (the
 # full-turbo subframe e2e plus the int8 sliding-window kernel at K=512
@@ -102,14 +98,14 @@ bench-turbo:
 
 # Benchmark regression gate: run the receiver and turbo-kernel benchmarks
 # and fail on any >10% ns/op regression (or any allocs/op growth) against
-# the committed baselines. CI's bench jobs re-record the baselines on
+# the committed baselines. CI's bench-turbo job re-records the baselines on
 # their own hardware first, so the comparison is always same-machine.
 bench-compare:
 	@( $(GO) test -run '^$$' -bench 'BenchmarkSubframeE2E|BenchmarkChanEstStage|BenchmarkDataStage' \
 		-benchmem ./internal/uplink/ && \
 	   $(GO) test -run '^$$' -bench 'BenchmarkDecodeQuant' -benchmem ./internal/phy/turbo/ ) | \
 		$(GO) run ./cmd/bench-compare \
-			-baseline $(CURDIR)/BENCH_e2e_baseline.json,$(CURDIR)/BENCH_lane_baseline.json,$(CURDIR)/BENCH_turbo_baseline.json
+			-baseline $(CURDIR)/BENCH_e2e_baseline.json,$(CURDIR)/BENCH_turbo_baseline.json
 
 # Short fuzz pass over every fuzz target (~10s each): CRC append/check,
 # turbo segmentation and rate-matching round trips, the int8 decoder
@@ -124,7 +120,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRateMatchRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/phy/turbo/
 	$(GO) test -run '^$$' -fuzz '^FuzzTurboQuantized$$' -fuzztime $(FUZZTIME) ./internal/phy/turbo/
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/phy/fft/
-	$(GO) test -run '^$$' -fuzz '^FuzzLanePackUnpack$$' -fuzztime $(FUZZTIME) ./internal/phy/lane/
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME) ./internal/fronthaul/
 
 # Serving-layer smoke: lte-enb on a Unix socket, 2000 subframes per cell

@@ -5,7 +5,7 @@
 // 10%) or allocs/op grows at all.
 //
 //	go test -bench . -benchmem ./internal/uplink/ | \
-//	    go run ./cmd/bench-compare -baseline BENCH_e2e_baseline.json,BENCH_lane_baseline.json
+//	    go run ./cmd/bench-compare -baseline BENCH_e2e_baseline.json,BENCH_turbo_baseline.json
 //
 // Benchmark names are compared with the -GOMAXPROCS suffix stripped, so
 // `BenchmarkSubframeE2E-8` matches the baseline key `BenchmarkSubframeE2E`.

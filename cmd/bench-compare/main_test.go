@@ -12,8 +12,8 @@ goarch: amd64
 pkg: ltephy/internal/uplink
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
 BenchmarkSubframeE2E-8     	    1581	   1524479 ns/op	   32611 B/op	       4 allocs/op
-BenchmarkChanEstStageF32-8 	   53205	     49835 ns/op	       0 B/op	       0 allocs/op
-BenchmarkChanEstStageF32-8 	   55000	     48000 ns/op	       0 B/op	       0 allocs/op
+BenchmarkChanEstStage-8    	   53205	     49835 ns/op	       0 B/op	       0 allocs/op
+BenchmarkChanEstStage-8    	   55000	     48000 ns/op	       0 B/op	       0 allocs/op
 BenchmarkUnknown-8         	     100	      1000 ns/op
 PASS
 `
@@ -31,8 +31,8 @@ func TestParseBench(t *testing.T) {
 		t.Errorf("SubframeE2E parsed as %+v", e2e)
 	}
 	// Duplicate runs keep the minimum ns/op.
-	if got["BenchmarkChanEstStageF32"].NsPerOp != 48000 {
-		t.Errorf("ChanEstStageF32 min = %g, want 48000", got["BenchmarkChanEstStageF32"].NsPerOp)
+	if got["BenchmarkChanEstStage"].NsPerOp != 48000 {
+		t.Errorf("ChanEstStage min = %g, want 48000", got["BenchmarkChanEstStage"].NsPerOp)
 	}
 	if got["BenchmarkUnknown"].hasAllocs {
 		t.Error("benchmark without -benchmem output claims alloc data")

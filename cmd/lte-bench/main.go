@@ -65,7 +65,6 @@ func run(args []string, w io.Writer) error {
 	turboKernel := fs.String("turbo-kernel", "int8", "full-turbo decoder kernel: int8 (line-rate) or float64 (oracle)")
 	rate := fs.Float64("rate", 0, "code rate for rate-matched full-turbo mode (0 = mother rate + padding)")
 	combiner := fs.String("combiner", "mmse", "antenna combiner: mmse, zf or mrc")
-	precision := fs.String("precision", "complex128", "kernel precision: complex128 or float32 (split-plane lane layout)")
 	chanest := fs.String("chanest", "windowed", "channel estimator: windowed (paper) or ls")
 	scramble := fs.Bool("scramble", false, "enable Gold-sequence bit scrambling")
 	noiseEst := fs.Bool("noise-est", false, "estimate noise variance at the receiver (no genie)")
@@ -143,13 +142,6 @@ func run(args []string, w io.Writer) error {
 		rc.ChanEst = uplink.ChanEstLS
 	default:
 		return fmt.Errorf("unknown channel estimator %q", *chanest)
-	}
-	switch *precision {
-	case "complex128":
-	case "float32":
-		rc.Precision = uplink.PrecisionFloat32
-	default:
-		return fmt.Errorf("unknown precision %q", *precision)
 	}
 	rc.Scramble = *scramble
 	rc.EstimateNoise = *noiseEst

@@ -132,10 +132,10 @@ type cellHarness struct {
 	cellID uint16
 	disp   *sched.Dispatcher
 
-	conn      net.Conn
-	frames    map[int64][]byte // replay ring: seq > stable, or unacked
-	sendNs    map[int64]int64
-	acked     map[int64]bool
+	conn     net.Conn
+	frames   map[int64][]byte // replay ring: seq > stable, or unacked
+	sendNs   map[int64]int64
+	acked    map[int64]bool
 	unackedN int
 	lastTrim int64 // stable horizon the ring was last trimmed to
 
@@ -146,10 +146,10 @@ type cellHarness struct {
 
 // RunHarness drives the fleet and returns the aggregated stats. The
 // per-cell generators are joined before aggregation; the first cell
-// error is returned (partial stats intact).
+// error is returned (partial stats intact). One generator per cell:
+// wg.Add before each spawn, deferred Done, wg.Wait joins all.
 //
-//ltephy:spawn-point — one generator per cell, wg.Add before each spawn,
-// deferred Done, wg.Wait joins all.
+//ltephy:spawn-point
 func RunHarness(cfg HarnessConfig) (HarnessStats, error) {
 	if cfg.Coordinator == nil {
 		return HarnessStats{}, errors.New("fleet: harness needs a Coordinator")
@@ -240,7 +240,7 @@ func RunHarness(cfg HarnessConfig) (HarnessStats, error) {
 			firstErr = fmt.Errorf("cell %d: %w", g.cellID, g.err)
 		}
 	}
-	total.P50, total.P90, total.P99, total.P999, total.Max = harnessPercentiles(lats)
+	total.P50, total.P90, total.P99, total.P999, total.Max = fronthaul.Percentiles(lats)
 
 	// Fleet rollups: scrape every worker's /fetch and fold, then derive
 	// the predicted vs measured shed fractions from the serving stats.
@@ -575,17 +575,4 @@ func scrapeFleetKPI(co *Coordinator) (kpi.FleetFetch, error) {
 		perWorker = append(perWorker, doc.Cells)
 	}
 	return kpi.AggregateCells(perWorker...), nil
-}
-
-// harnessPercentiles mirrors the loopback generator's percentile shape.
-func harnessPercentiles(lats []int64) (p50, p90, p99, p999, max time.Duration) {
-	if len(lats) == 0 {
-		return 0, 0, 0, 0, 0
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	at := func(q float64) time.Duration {
-		i := int(q * float64(len(lats)-1))
-		return time.Duration(lats[i])
-	}
-	return at(0.50), at(0.90), at(0.99), at(0.999), time.Duration(lats[len(lats)-1])
 }

@@ -207,7 +207,7 @@ func RunLoopback(cfg GenConfig) (GenStats, error) {
 			firstErr = fmt.Errorf("cell %d: %w", g.cellID, g.err)
 		}
 	}
-	total.P50, total.P90, total.P99, total.P999, total.Max = percentiles(lats)
+	total.P50, total.P90, total.P99, total.P999, total.Max = Percentiles(lats)
 	return total, firstErr
 }
 
@@ -355,8 +355,10 @@ func (g *cellGen) readAcks(conn net.Conn) error {
 	return nil
 }
 
-// percentiles returns the p50/p90/p99/p99.9/max of the given latencies.
-func percentiles(lats []int64) (p50, p90, p99, p999, max time.Duration) {
+// Percentiles returns the p50/p90/p99/p99.9/max of the given latencies
+// (nanoseconds), sorting lats in place. The loopback generator and the
+// fleet harness both report their latency tails through it.
+func Percentiles(lats []int64) (p50, p90, p99, p999, max time.Duration) {
 	if len(lats) == 0 {
 		return 0, 0, 0, 0, 0
 	}

@@ -764,68 +764,36 @@ func (b *bluestein) transformBatch(ws *workspace.Arena, dst, src []complex128, h
 	b.putBuffers(ws, mk, xp, yp)
 }
 
-// planKey identifies a cached plan by (size, precision), so the float32
-// split-plane and complex128 plans for the same length coexist in one
-// cache instead of evicting each other.
-type planKey struct {
-	n   int
-	f32 bool
-}
-
-// planCache memoises plans by (size, precision); Get and GetF32 are the
-// concurrency-safe accessors used across the receiver so repeated
-// subframe sizes share twiddle tables. RWMutex-guarded (not a sync.Map)
-// and struct-keyed so lookups don't box the key — both accessors sit on
-// the per-task hot path and must not allocate. Values are *Plan or
-// *PlanF32 per the key's precision; storing the pointer in the interface
-// value doesn't allocate either.
+// planCache memoises plans by length; Get is the concurrency-safe
+// accessor used across the receiver so repeated subframe sizes share
+// twiddle tables. RWMutex-guarded (not a sync.Map) and int-keyed so
+// lookups don't box the key — Get sits on the per-task hot path and must
+// not allocate.
 var (
 	planMu    sync.RWMutex
-	planCache = map[planKey]any{}
+	planCache = map[int]*Plan{}
 )
 
-// lookupPlan is an uncontended RLock over one map read; plans are
-// memoised per size so steady state never holds the write lock.
+// Get returns a shared complex128 plan for length n, creating it on
+// first use. It is a double-checked RWMutex cache: steady state is one
+// uncontended RLock over a map read; the write lock is taken only on
+// first sight of a new FFT size (cold warm-up).
 //
 //ltephy:blocking-ok
-func lookupPlan(k planKey) any {
+func Get(n int) *Plan {
 	planMu.RLock()
-	p := planCache[k]
+	p := planCache[n]
 	planMu.RUnlock()
-	return p
-}
-
-// storePlan takes the write lock only on first sight of a new FFT size
-// (cold warm-up); the critical section is one map read + write.
-//
-//ltephy:blocking-ok
-func storePlan(k planKey, p any) any {
+	if p != nil {
+		return p
+	}
+	p = New(n)
 	planMu.Lock()
-	if cached, ok := planCache[k]; ok {
+	if cached, ok := planCache[n]; ok {
 		p = cached
 	} else {
-		planCache[k] = p
+		planCache[n] = p
 	}
 	planMu.Unlock()
 	return p
-}
-
-// Get returns a shared complex128 plan for length n, creating it on
-// first use.
-func Get(n int) *Plan {
-	k := planKey{n: n}
-	if p := lookupPlan(k); p != nil {
-		return p.(*Plan)
-	}
-	return storePlan(k, New(n)).(*Plan)
-}
-
-// GetF32 returns a shared float32 split-plane plan for length n,
-// creating it on first use.
-func GetF32(n int) *PlanF32 {
-	k := planKey{n: n, f32: true}
-	if p := lookupPlan(k); p != nil {
-		return p.(*PlanF32)
-	}
-	return storePlan(k, NewF32(n)).(*PlanF32)
 }

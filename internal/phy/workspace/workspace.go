@@ -119,14 +119,13 @@ func (s *stack[T]) footprint() int {
 }
 
 // Arena is a per-worker scratch allocator: typed LIFO stacks
-// (complex128, float64, float32, uint8, int8, int16, int32) with shared
+// (complex128, float64, uint8, int8, int16, int32) with shared
 // Mark/Release semantics. The zero value is NOT ready for use via its
 // methods on a nil pointer only in the sense that nil falls back to
 // make(); a &Arena{} (or New()) is fully functional.
 type Arena struct {
 	c128 stack[complex128]
 	f64  stack[float64]
-	f32  stack[float32]
 	u8   stack[uint8]
 	i8   stack[int8]
 	i16  stack[int16]
@@ -135,7 +134,7 @@ type Arena struct {
 
 // Mark captures the current allocation state of all stacks.
 type Mark struct {
-	c128, f64, f32, u8, i8, i16, i32 mark
+	c128, f64, u8, i8, i16, i32 mark
 }
 
 // New returns an empty Arena. Equivalent to new(Arena); provided for
@@ -158,16 +157,6 @@ func (a *Arena) Float(n int) []float64 {
 		return make([]float64, n)
 	}
 	return a.f64.grab(n)
-}
-
-// Float32 returns a zeroed []float32 of length n (capacity n). On a nil
-// Arena it falls back to make. The split-plane float32 lane kernels
-// (internal/phy/lane) draw their re/im planes from this stack.
-func (a *Arena) Float32(n int) []float32 {
-	if a == nil {
-		return make([]float32, n)
-	}
-	return a.f32.grab(n)
 }
 
 // Bytes returns a zeroed []uint8 of length n (capacity n). On a nil Arena
@@ -214,7 +203,7 @@ func (a *Arena) Mark() Mark {
 	if a == nil {
 		return Mark{}
 	}
-	return Mark{a.c128.mark(), a.f64.mark(), a.f32.mark(), a.u8.mark(), a.i8.mark(), a.i16.mark(), a.i32.mark()}
+	return Mark{a.c128.mark(), a.f64.mark(), a.u8.mark(), a.i8.mark(), a.i16.mark(), a.i32.mark()}
 }
 
 // Release rewinds the arena to a checkpoint obtained from Mark. Slices
@@ -227,7 +216,6 @@ func (a *Arena) Release(m Mark) {
 	}
 	a.c128.release(m.c128)
 	a.f64.release(m.f64)
-	a.f32.release(m.f32)
 	a.u8.release(m.u8)
 	a.i8.release(m.i8)
 	a.i16.release(m.i16)
@@ -241,7 +229,6 @@ func (a *Arena) Reset() {
 	}
 	a.c128.release(mark{})
 	a.f64.release(mark{})
-	a.f32.release(mark{})
 	a.u8.release(mark{})
 	a.i8.release(mark{})
 	a.i16.release(mark{})
@@ -255,6 +242,6 @@ func (a *Arena) Footprint() int {
 	if a == nil {
 		return 0
 	}
-	return a.c128.footprint()*16 + a.f64.footprint()*8 + a.f32.footprint()*4 +
+	return a.c128.footprint()*16 + a.f64.footprint()*8 +
 		a.u8.footprint() + a.i8.footprint() + a.i16.footprint()*2 + a.i32.footprint()*4
 }

@@ -88,6 +88,11 @@ type Config struct {
 	// TraceDepth is the per-worker event-ring capacity used when the pool
 	// creates its own registry (obs.DefaultRingDepth when <= 0).
 	TraceDepth int
+
+	// taskHook, when non-nil, runs on the executing worker before every
+	// task. Unexported: only this package's tests set it, to make task
+	// placement observable without relying on scheduling luck.
+	taskHook func(worker int)
 }
 
 // DefaultPoolConfig returns a pool configuration with paper-equivalent
@@ -142,7 +147,12 @@ type worker struct {
 	// per-task SetGoroutineLabels swap allocation-free.
 	baseCtx  context.Context
 	stageCtx [obs.NumStages]context.Context
-	stats    struct {
+	// taskNanos is the cumulative span runTask has charged to busyNanos.
+	// Only this worker's goroutine touches it: processUser reads it around
+	// an inline stage to subtract the tasks nested in that stage (turbo
+	// windows run by the help loop), which runTask already charged.
+	taskNanos int64
+	stats     struct {
 		tasksRun     atomic.Int64
 		usersStarted atomic.Int64
 		steals       atomic.Int64
@@ -443,6 +453,9 @@ func (w *worker) trySteal() (Task, bool) {
 // stage pprof label while it runs. The clock is read once per edge; the
 // same readings feed the stats counter and the telemetry span.
 func (w *worker) runTask(t Task) {
+	if h := w.pool.cfg.taskHook; h != nil {
+		h(w.id)
+	}
 	on := w.rec.Enabled()
 	if on {
 		pprof.SetGoroutineLabels(w.stageCtx[t.stage])
@@ -450,6 +463,7 @@ func (w *worker) runTask(t Task) {
 	start := obs.Nanotime()
 	t.fn(w.ws)
 	end := obs.Nanotime()
+	w.taskNanos += end - start
 	w.stats.busyNanos.Add(end - start)
 	w.stats.tasksRun.Add(1)
 	if on {
@@ -527,10 +541,13 @@ func (w *worker) processUser(qu queuedUser) {
 		n := s.Tasks(job)
 		if n == 1 {
 			// Serial stage (weights, backend): run inline, no spawn.
+			// Tasks it nests (turbo windows via runWindows) charged
+			// their own spans, so charge only the remainder here.
 			start = obs.Nanotime()
+			nested := w.taskNanos
 			s.Run(w.ws, job, 0)
 			end = obs.Nanotime()
-			w.stats.busyNanos.Add(end - start)
+			w.stats.busyNanos.Add(end - start - (w.taskNanos - nested))
 			w.rec.StageSpan(cls, qu.seq, user, 0, start, end)
 			continue
 		}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -204,9 +205,7 @@ func TestSetActiveWorkersMask(t *testing.T) {
 	if pool.ActiveWorkers() != 1 {
 		t.Fatalf("ActiveWorkers = %d", pool.ActiveWorkers())
 	}
-	// Give the deactivated workers time to start napping, then confirm nap
-	// time accumulates on them and work still completes on the active one.
-	time.Sleep(5 * time.Millisecond)
+	// Work completes on the active worker while the deactivated ones nap.
 	d := NewDispatcher(testDispatcherConfig())
 	trace := smallTrace(t, 4)
 	for seq, users := range trace.Subframes {
@@ -216,9 +215,14 @@ func TestSetActiveWorkersMask(t *testing.T) {
 		}
 		pool.ProcessSubframe(sf)
 	}
-	stats := pool.Stats()
-	if stats[3].NapNanos == 0 {
-		t.Error("masked worker accumulated no nap time")
+	// A masked worker naps as soon as it is scheduled, but on a loaded
+	// host that may be after the subframes finish: wait for its first nap
+	// rather than assume one happened within a fixed sleep.
+	for deadline := time.Now().Add(10 * time.Second); pool.Stats()[3].NapNanos == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("masked worker accumulated no nap time within 10s")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	// Clamp behaviour.
 	pool.SetActiveWorkers(0)
@@ -231,6 +235,12 @@ func TestSetActiveWorkersMask(t *testing.T) {
 	}
 }
 
+// TestWorkIsActuallyDistributed checks that a big user's stage tasks
+// spread across workers. Whether a thief gets scheduled before the user
+// thread drains its own deque is scheduling luck on a loaded host, so the
+// test removes the race: the first task parks until a second worker has
+// run a task, which it can only do by stealing from the user thread's
+// deque. Stealing that never happens fails on the 10 s timeout.
 func TestWorkIsActuallyDistributed(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		// On a single-P runtime the user thread drains its own deque before
@@ -240,18 +250,47 @@ func TestWorkIsActuallyDistributed(t *testing.T) {
 	}
 	cfg := DefaultPoolConfig()
 	cfg.Workers = 4
+	var (
+		mu       sync.Mutex
+		first    = -1
+		spread   = make(chan struct{})
+		timedOut atomic.Bool
+	)
+	cfg.taskHook = func(worker int) {
+		mu.Lock()
+		switch {
+		case first < 0:
+			first = worker
+		case worker != first && spread != nil:
+			close(spread)
+			spread = nil
+		}
+		wait := spread
+		mu.Unlock()
+		if wait == nil {
+			return
+		}
+		select {
+		case <-wait:
+		case <-time.After(10 * time.Second):
+			timedOut.Store(true)
+		}
+	}
 	pool, err := NewPool(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
 	d := NewDispatcher(testDispatcherConfig())
-	// One big user: its 16 chanest + 24 data tasks should spread.
+	// One big user: its 16 chanest + 48 data tasks should spread.
 	sf, err := d.Subframe(0, []uplink.UserParams{{ID: 0, PRB: 40, Layers: 4, Mod: modulation.QAM64}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pool.ProcessSubframe(sf)
+	if timedOut.Load() {
+		t.Error("no second worker ran a task within 10s; stealing not happening")
+	}
 	stats := pool.Stats()
 	workersWithTasks := 0
 	var totalTasks int64
@@ -551,7 +590,8 @@ func TestNativeNapPowerSavings(t *testing.T) {
 // measured busy time grows roughly linearly with the PRB allocation —
 // the property the paper's workload estimator is built on, here verified
 // against actual DSP execution rather than the simulator. Host timing is
-// noisy, so the bounds are generous.
+// noisy, so the bounds are generous and each size is measured as its
+// fastest rep.
 func TestNativeWorkloadScaling(t *testing.T) {
 	busyFor := func(prb int) float64 {
 		cfg := DefaultPoolConfig()
@@ -569,17 +609,21 @@ func TestNativeWorkloadScaling(t *testing.T) {
 		}
 		// Warm caches (FFT plans, interleavers) before measuring.
 		pool.ProcessSubframe(sf)
-		before := pool.Stats()
-		const reps = 12
-		for i := 0; i < reps; i++ {
+		// Per-rep minimum, not the mean: preemption on a shared host only
+		// ever adds busy time, so the fastest rep is the cleanest sample
+		// of the work itself.
+		best := int64(math.MaxInt64)
+		for rep := 0; rep < 12; rep++ {
+			before := pool.Stats()
 			pool.ProcessSubframe(sf)
+			after := pool.Stats()
+			var busy int64
+			for i := range after {
+				busy += after[i].BusyNanos - before[i].BusyNanos
+			}
+			best = min(best, busy)
 		}
-		after := pool.Stats()
-		var busy int64
-		for i := range after {
-			busy += after[i].BusyNanos - before[i].BusyNanos
-		}
-		return float64(busy) / reps
+		return float64(best)
 	}
 	small := busyFor(4)
 	large := busyFor(16)

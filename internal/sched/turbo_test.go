@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"ltephy/internal/obs"
 	"ltephy/internal/params"
 	"ltephy/internal/phy/modulation"
 	"ltephy/internal/uplink"
@@ -106,6 +107,52 @@ func TestTurboFanoutSpawnsWindowTasks(t *testing.T) {
 	stageTasks := int64(4 + 12) // antennas*layers chanest + 12*layers data
 	if total <= stageTasks {
 		t.Errorf("ran %d tasks, want > %d: turbo windows never became tasks", total, stageTasks)
+	}
+}
+
+// TestBusyNanosExcludesNestedWindows pins the busy accounting of the
+// inline backend stage: the turbo windows a user thread runs (or helps
+// with) inside that stage are charged once, by runTask, not a second time
+// as part of the stage's inline span. A worker can therefore never log
+// more busy time than the wall time of the subframe it worked on. The
+// subframe is one max-size code block at low SNR, so the decode runs its
+// whole iteration budget and window tasks carry most of the time.
+func TestBusyNanosExcludesNestedWindows(t *testing.T) {
+	rc := turboReceiver()
+	rc.TurboIterations = 8
+	dc := turboDispatcherConfig(rc)
+	dc.TX.SNRdB = 0 // undecodable: the budget, not the CRC gate, ends the decode
+	d := NewDispatcher(dc)
+	sf, err := d.Subframe(0, []uplink.UserParams{turboMaxUser})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultPoolConfig()
+	cfg.Workers = 2
+	cfg.Receiver = rc
+	pool, err := NewPool(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	pool.ProcessSubframe(sf) // warm arenas and caches
+	before := pool.Stats()
+	start := obs.Nanotime()
+	pool.ProcessSubframe(sf)
+	// Read the counters before closing the wall window: any busy time
+	// they include was charged before the window closed.
+	after := pool.Stats()
+	wall := obs.Nanotime() - start
+	var tasks int64
+	for i := range after {
+		tasks += after[i].TasksRun - before[i].TasksRun
+		if busy := after[i].BusyNanos - before[i].BusyNanos; busy > wall {
+			t.Errorf("worker %d: busy %.3f ms > subframe wall %.3f ms (nested tasks double-counted)",
+				i, float64(busy)/1e6, float64(wall)/1e6)
+		}
+	}
+	if stageTasks := int64(4 + 12); tasks <= stageTasks {
+		t.Fatalf("ran %d tasks, want > %d: turbo windows never became tasks", tasks, stageTasks)
 	}
 }
 

@@ -10,8 +10,9 @@ import (
 )
 
 // TestWriteE2EBenchBaseline records the end-to-end subframe baseline
-// (BenchmarkSubframeE2E and the full-turbo variant) to the JSON file named
-// by LTEPHY_BENCH_E2E_OUT, in the same shape as BENCH_fft_baseline.json.
+// (BenchmarkSubframeE2E and the full-turbo variant) plus the two
+// transform-dominated stage kernels (BenchmarkChanEstStage,
+// BenchmarkDataStage) to the JSON file named by LTEPHY_BENCH_E2E_OUT, in the same shape as BENCH_fft_baseline.json.
 // Skipped unless the variable is set; `make bench-e2e` drives it.
 func TestWriteE2EBenchBaseline(t *testing.T) {
 	out := os.Getenv("LTEPHY_BENCH_E2E_OUT")
@@ -34,7 +35,8 @@ func TestWriteE2EBenchBaseline(t *testing.T) {
 		Date       string           `json:"date"`
 		Benchmarks map[string]entry `json:"benchmarks"`
 	}{
-		Comment: "End-to-end subframe baseline (three users through the serial receiver chain). " +
+		Comment: "End-to-end subframe baseline (three users through the serial receiver chain) " +
+			"plus the channel-estimation and combine/despread stage kernels. " +
 			"allocs_per_op is the tracked regression metric; compare with `make bench` output.",
 		Go:   runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
 		CPU:  cpuModel(),
@@ -42,6 +44,8 @@ func TestWriteE2EBenchBaseline(t *testing.T) {
 		Benchmarks: map[string]entry{
 			"BenchmarkSubframeE2E":          measure(BenchmarkSubframeE2E),
 			"BenchmarkSubframeE2ETurboFull": measure(BenchmarkSubframeE2ETurboFull),
+			"BenchmarkChanEstStage":         measure(BenchmarkChanEstStage),
+			"BenchmarkDataStage":            measure(BenchmarkDataStage),
 		},
 	}
 	buf, err := json.MarshalIndent(doc, "", "  ")

@@ -55,10 +55,6 @@ func (j *UserJob) estimateCovariance(r *linalg.Matrix, e []complex128) {
 // solution W = (H^H R^{-1} H + I)^{-1} H^H R^{-1}. All working matrices
 // come from the arena (heap when nil) and are released before returning.
 func (j *UserJob) computeIRCWeights(a *workspace.Arena) {
-	if j.fp32 {
-		j.computeIRCWeightsF32()
-		return
-	}
 	ant := j.Cfg.Antennas
 	m := a.Mark()
 	rcov := linalg.NewMatrixIn(a, ant, ant)

@@ -84,12 +84,6 @@ type UserJob struct {
 	res  UserResult
 	bits []uint8
 
-	// fp32 selects the float32 split-plane hot path (job_f32.go): every
-	// stage kernel branches to its F32 twin, with f32 holding the lane
-	// layout state. Set from Cfg.Precision at Init.
-	fp32 bool
-	f32  jobF32
-
 	// par, when set (after Init — Init clears it), lets the turbo
 	// decoder fan one code block's trellis windows out across scheduler
 	// workers instead of serializing a large block on one core.
@@ -198,13 +192,6 @@ func (j *UserJob) Init(ws *workspace.Arena, cfg ReceiverConfig, u *UserData) err
 	if j.window < 1 {
 		j.window = 1
 	}
-	if cfg.Precision == PrecisionFloat32 {
-		// Float32 lane path: the job-lifetime state is the split-plane
-		// layout in j.f32; the complex128 buffers stay nil.
-		j.fp32 = true
-		j.initF32(ws)
-		return nil
-	}
 	j.plan = fft.Get(n)
 	j.layerRef = layerRefs(n)[:j.layers]
 	al := cfg.Antennas * j.layers
@@ -252,10 +239,6 @@ func (j *UserJob) matchedFilter(mf []complex128, slot, a, l int) {
 // least-squares variant (matched filter only). The two slots run as one
 // FFT batch, landing directly in hestAll through the strided destination.
 func (j *UserJob) chanEstTask(ws *workspace.Arena, i int, ls bool) {
-	if j.fp32 {
-		j.chanEstTaskF32(ws, i, ls)
-		return
-	}
 	a := i / j.layers
 	l := i % j.layers
 	n := j.n
@@ -292,10 +275,6 @@ func (j *UserJob) chanEstTask(ws *workspace.Arena, i int, ls bool) {
 // straight into the hest slab. Per-vector arithmetic is identical to
 // chanEstTask, so results are bit-exact with the per-task path.
 func (j *UserJob) chanEstBatch(ws *workspace.Arena, from, to int, ls bool) {
-	if j.fp32 {
-		j.chanEstBatchF32(ws, from, to, ls)
-		return
-	}
 	if ls {
 		for i := from; i < to; i++ {
 			j.chanEstTask(ws, i, true)
@@ -329,9 +308,6 @@ func (j *UserJob) chanEstBatch(ws *workspace.Arena, from, to int, ls bool) {
 // window keeps a W/N fraction of the matched filter's noise, hence the
 // N/W rescale back to per-subcarrier variance.
 func (j *UserJob) estimateNoise() float64 {
-	if j.fp32 {
-		return j.estimateNoiseF32()
-	}
 	window := j.window
 	var sum float64
 	count := 0
@@ -366,9 +342,6 @@ func (j *UserJob) CFOEstimate() float64 { return j.cfo }
 // symbols apart, so angle(sum H1*conj(H0)) = 2*pi*cfo*7. Unambiguous for
 // |cfo| < 1/14 of the subcarrier spacing — ample for a residual offset.
 func (j *UserJob) estimateCFO() float64 {
-	if j.fp32 {
-		return j.estimateCFOF32()
-	}
 	var acc complex128
 	h0, h1 := j.hest[0], j.hest[1]
 	for i := range h0 {
@@ -410,10 +383,6 @@ func (j *UserJob) ComputeWeights() {
 // for MMSE, a numerical guard for ZF), and mrc selects the per-layer
 // matched filter instead of the joint solve.
 func (j *UserJob) computeLinearWeights(a *workspace.Arena, solveNV float64, mrc bool) {
-	if j.fp32 {
-		j.computeLinearWeightsF32(solveNV, mrc)
-		return
-	}
 	ant := j.Cfg.Antennas
 	m := a.Mark()
 	ws := linalg.NewMMSEWorkspaceIn(a, ant, j.layers)
@@ -509,10 +478,6 @@ func despreadScale(out []complex128, n int) {
 // "antenna combining and IFFT ... performed on each separate symbol and
 // layer".
 func (j *UserJob) dataTask(ws *workspace.Arena, i int) {
-	if j.fp32 {
-		j.dataTaskF32(ws, i)
-		return
-	}
 	n := j.n
 	m := ws.Mark()
 	comb := ws.Complex(n)
@@ -530,10 +495,6 @@ func (j *UserJob) dataTask(ws *workspace.Arena, i int) {
 // all straight into the combined slab. Per-vector arithmetic is identical
 // to dataTask, so results are bit-exact with the per-task path.
 func (j *UserJob) dataBatch(ws *workspace.Arena, from, to int) {
-	if j.fp32 {
-		j.dataBatchF32(ws, from, to)
-		return
-	}
 	n := j.n
 	cnt := to - from
 	m := ws.Mark()
@@ -559,10 +520,6 @@ func (j *UserJob) Finish() UserResult {
 // stored on the job. Scratch (deinterleave buffer, LLRs, decoder state)
 // comes from ws; only the decoded payload bits escape to heap memory.
 func (j *UserJob) finish(ws *workspace.Arena) {
-	if j.fp32 {
-		j.finishF32(ws)
-		return
-	}
 	res := UserResult{UserID: j.U.Params.ID, ChannelMSE: math.NaN()}
 	m := ws.Mark()
 	deint := ws.Complex(len(j.combined))

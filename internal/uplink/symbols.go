@@ -50,10 +50,3 @@ func InterleaveSymbols(cfg ReceiverConfig, dst, src []complex128) {
 func deinterleaveSymbols(cfg ReceiverConfig, dst, src []complex128) {
 	interleave.Deinterleave(getBlock(len(src), cfg.InterleaverColumns), dst, src)
 }
-
-// deinterleaveSymbolsF32 is deinterleaveSymbols on one split plane:
-// applying the same permutation to the re and im planes independently is
-// exactly the complex deinterleave on the lane layout.
-func deinterleaveSymbolsF32(cfg ReceiverConfig, dst, src []float32) {
-	interleave.Deinterleave(getBlock(len(src), cfg.InterleaverColumns), dst, src)
-}

@@ -250,30 +250,6 @@ func (c ChanEstType) String() string {
 	return "windowed"
 }
 
-// Precision selects the arithmetic width of the receiver hot path.
-type Precision int
-
-const (
-	// PrecisionComplex128 is the default interleaved complex128 pipeline —
-	// the accuracy oracle every other precision is validated against.
-	PrecisionComplex128 Precision = iota
-	// PrecisionFloat32 runs the hot path (channel estimation, weight
-	// solve, combining, despreading, demapping) on the split-plane float32
-	// lane layout (internal/phy/lane), converting at the job boundary:
-	// received samples are packed to planes at Init and LLRs widen back to
-	// float64 before the turbo decoder, so schedulers, HARQ and the
-	// transport layer see unchanged interfaces. Validated against the
-	// complex128 path across nPRB 2..200 with pinned EVM and LLR bounds.
-	PrecisionFloat32
-)
-
-func (p Precision) String() string {
-	if p == PrecisionFloat32 {
-		return "float32"
-	}
-	return "complex128"
-}
-
 // TurboMode selects the final decoding stage.
 type TurboMode int
 
@@ -311,9 +287,6 @@ type ReceiverConfig struct {
 	// Combiner and ChanEst swap the corresponding pipeline modules.
 	Combiner CombinerType
 	ChanEst  ChanEstType
-	// Precision selects the hot-path arithmetic width; the zero value is
-	// the complex128 oracle path.
-	Precision Precision
 	// EstimateNoise makes the receiver estimate the noise variance from
 	// the out-of-window residual of the channel-estimation IFFT instead of
 	// trusting UserData.NoiseVar (removing the genie assumption).
@@ -360,8 +333,6 @@ func (c ReceiverConfig) Validate() error {
 		return fmt.Errorf("uplink: unknown combiner %d", int(c.Combiner))
 	case c.ChanEst < ChanEstWindowed || c.ChanEst > ChanEstLS:
 		return fmt.Errorf("uplink: unknown channel estimator %d", int(c.ChanEst))
-	case c.Precision < PrecisionComplex128 || c.Precision > PrecisionFloat32:
-		return fmt.Errorf("uplink: unknown precision %d", int(c.Precision))
 	case c.InterleaverColumns < 1:
 		return fmt.Errorf("uplink: interleaver columns %d < 1", c.InterleaverColumns)
 	}
